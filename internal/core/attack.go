@@ -220,35 +220,36 @@ func (a *Attack) orderedSites() []int {
 }
 
 // parallelFor runs fn(i) for i in [0, n) on the configured worker count.
-// Each invocation receives a deterministic per-index RNG.
+// Each invocation receives a deterministic per-index RNG: item i draws
+// exactly the stream of rand.New(rand.NewSource(seedBase+i)), at any
+// worker count.
+//
+// Ownership: the rng is valid only for the duration of fn. Each worker
+// re-seeds one pooled generator per item (see lazySource), so fn must not
+// retain rng, hand it to a goroutine that outlives fn, or share it with
+// another item; doing so would read another item's stream.
 func (a *Attack) parallelFor(n int, seedBase int64, fn func(i int, rng *rand.Rand)) {
-	workers := a.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, rand.New(rand.NewSource(seedBase+int64(i))))
+	var next atomic.Int64 // workers claim indices in ascending order
+	work := func() {
+		rng := workerRNGs.Get().(*rand.Rand)
+		defer workerRNGs.Put(rng)
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			rng.Seed(seedBase + i)
+			fn(int(i), rng)
 		}
-		return
 	}
+	// The calling goroutine is one of the workers: its stack is already
+	// grown to the probe path's depth, and the serial case spawns nothing.
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(a.cfg.Workers, n); w++ {
 		wg.Add(1)
 		//lint:ignore nakedgo deliberate fan-out sized by cfg.Workers; each index writes disjoint state
 		go func() {
 			defer wg.Done()
-			//lint:ignore determinism work-distribution queue: fn(i) is seeded per index and indices write disjoint state, so arrival order cannot affect results
-			for i := range next {
-				fn(i, rand.New(rand.NewSource(seedBase+int64(i))))
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 }
 

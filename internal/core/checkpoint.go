@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"time"
 
 	"dnnlock/internal/hpnn"
@@ -170,8 +169,21 @@ func (ck *Checkpoint) validateFor(spec hpnn.LockSpec, cfg Config) error {
 		return fmt.Errorf("core: checkpoint bit arrays sized %d/%d/%d/%d, want %d",
 			len(ck.Decided), len(ck.Key), len(ck.Confidence), len(ck.Origins), n)
 	}
-	if nSites := len(spec.SiteBits()); ck.SitesDone < 0 || ck.SitesDone > nSites {
-		return fmt.Errorf("core: checkpoint sites_done %d out of range [0,%d]", ck.SitesDone, nSites)
+	siteBits := spec.SiteBits()
+	if ck.SitesDone < 0 || ck.SitesDone > len(siteBits) {
+		return fmt.Errorf("core: checkpoint sites_done %d out of range [0,%d]", ck.SitesDone, len(siteBits))
+	}
+	// The pending worklist indexes the per-bit arrays and names sites the
+	// resumed validation probes; an out-of-range entry would panic there.
+	for _, b := range ck.PendingBits {
+		if b < 0 || b >= n {
+			return fmt.Errorf("core: checkpoint pending bit %d out of range [0,%d)", b, n)
+		}
+	}
+	for _, site := range ck.PendingSites {
+		if _, ok := siteBits[site]; !ok {
+			return fmt.Errorf("core: checkpoint pending site %d is not a protected site of the lock spec", site)
+		}
 	}
 	return nil
 }
@@ -334,14 +346,16 @@ func mergeProcDurations(priorNS map[metrics.Procedure]int64, seg map[metrics.Pro
 // derivation — Float64, Perm, rejection loops in Int63n — bottoms out in
 // Int63/Uint64 calls, each of which advances the underlying generator by
 // exactly one step, so replaying N discards after re-seeding restores the
-// stream exactly.
+// stream exactly. The underlying lazySource is math/rand's stream (see
+// rng.go), so the wire format's (seed, draws) pair means what it always
+// meant.
 type countedSource struct {
-	src rand.Source64
+	src *lazySource
 	n   uint64
 }
 
 func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countedSource{src: newLazySource(seed)}
 }
 
 func (c *countedSource) Int63() int64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -219,6 +220,45 @@ func TestCheckpointValidation(t *testing.T) {
 		cfg.Seed = ck.Seed + 1
 		if _, err := Resume(white, spec, orc, cfg, ck); err == nil {
 			t.Fatal("seed drift not rejected")
+		}
+	})
+	t.Run("worklist", func(t *testing.T) {
+		// A decoded worklist entry indexes the per-bit arrays and names a
+		// site to probe; out-of-range values must be rejected before the
+		// resumed run can panic on them.
+		raw, _ := ck.Marshal()
+		for _, patch := range []string{
+			`{"pending_bits":[99999]}`,
+			`{"pending_bits":[-1]}`,
+			`{"pending_sites":[12345]}`,
+			`{"pending_sites":[-3]}`,
+		} {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			var over map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(patch), &over); err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range over {
+				fields[k] = v
+			}
+			bad, _ := json.Marshal(fields)
+			dec, err := UnmarshalCheckpoint(bad)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", patch, err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s: Resume panicked: %v", patch, r)
+					}
+				}()
+				if _, err := Resume(white, spec, orc, DefaultConfig(), dec); err == nil {
+					t.Fatalf("%s: corrupt worklist not rejected", patch)
+				}
+			}()
 		}
 	})
 	t.Run("probecache", func(t *testing.T) {

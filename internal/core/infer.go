@@ -201,20 +201,24 @@ func (a *Attack) probeBit(sp *obs.Span, x0, v []float64, site, idx int) (bitValu
 // oracle because the unknown site-s signs only negate coordinates, which
 // preserves the magnitude of their movement.
 func (a *Attack) stepStaysClean(x0, xp, xm []float64, site, idx int, eps float64) bool {
-	tr0 := a.white.ForwardTraceTo(x0, site)
-	trp := a.white.ForwardTraceTo(xp, site)
-	trm := a.white.ForwardTraceTo(xm, site)
+	w := a.white.Flips()[site].N
+	u0, up, um := tensor.GetVec(w), tensor.GetVec(w), tensor.GetVec(w)
+	defer tensor.PutVec(u0)
+	defer tensor.PutVec(up)
+	defer tensor.PutVec(um)
+	a.white.PreInto(u0, x0, site)
+	a.white.PreInto(up, xp, site)
+	a.white.PreInto(um, xm, site)
 	// Off-target coordinates of u_site must stay put relative to ε.
 	limit := eps / 50
-	for k := range tr0.Pre[site] {
+	for k := range u0 {
 		if k == idx {
 			continue
 		}
-		if math.Abs(trp.Pre[site][k]-tr0.Pre[site][k]) > limit ||
-			math.Abs(trm.Pre[site][k]-tr0.Pre[site][k]) > limit {
+		if math.Abs(up[k]-u0[k]) > limit || math.Abs(um[k]-u0[k]) > limit {
 			return false
 		}
 	}
 	// The target coordinate must actually straddle the boundary.
-	return trp.Pre[site][idx] > eps/2 && trm.Pre[site][idx] < -eps/2
+	return up[idx] > eps/2 && um[idx] < -eps/2
 }

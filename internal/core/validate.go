@@ -210,8 +210,8 @@ func (a *Attack) hyperplaneVoteSpanned(vsp *obs.Span, net *nn.Network, reluSite,
 
 			// The white-box observability gate involves no oracle queries
 			// and keeps the clean threshold.
-			kinkW := secondDifferenceOf(cand.Forward, x0, v, d)
-			bgW := secondDifferenceOf(cand.Forward, ctrl, v, d)
+			kinkW := secondDifferenceOf(cand, x0, v, d)
+			bgW := secondDifferenceOf(cand, ctrl, v, d)
 			if kinkW <= 10*bgW+a.cfg.AbsChange {
 				continue // unobservable here; try another region
 			}
@@ -361,26 +361,25 @@ func maxAbsSecondDiff(y0, yp, ym []float64) float64 {
 	return m
 }
 
-// secondDifferenceOf evaluates the same probe on an arbitrary function.
-func secondDifferenceOf(f func([]float64) []float64, x, v []float64, d float64) float64 {
-	xp := tensor.VecClone(x)
+// secondDifferenceOf evaluates the same probe on a white-box network,
+// over pooled buffers (the vote runs it twice per critical point).
+func secondDifferenceOf(net *nn.Network, x, v []float64, d float64) float64 {
+	p, q := len(x), net.OutSize()
+	xp, xm := tensor.GetVec(p), tensor.GetVec(p)
+	y0, yp, ym := tensor.GetVec(q), tensor.GetVec(q), tensor.GetVec(q)
+	defer tensor.PutVec(xp)
+	defer tensor.PutVec(xm)
+	defer tensor.PutVec(y0)
+	defer tensor.PutVec(yp)
+	defer tensor.PutVec(ym)
+	copy(xp, x)
 	tensor.AXPY(d, v, xp)
-	xm := tensor.VecClone(x)
+	copy(xm, x)
 	tensor.AXPY(-d, v, xm)
-	y0 := f(x)
-	yp := f(xp)
-	ym := f(xm)
-	m := 0.0
-	for i := range y0 {
-		s := yp[i] + ym[i] - 2*y0[i]
-		if s < 0 {
-			s = -s
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
+	net.ForwardInto(y0, x)
+	net.ForwardInto(yp, xp)
+	net.ForwardInto(ym, xm)
+	return maxAbsSecondDiff(y0, yp, ym)
 }
 
 // directCompare checks functional equivalence between the candidate

@@ -70,52 +70,66 @@ func RegionAffineMap(net *nn.Network, tr *nn.Trace) (AffineMap, error) {
 // the map of the unsigned pre-activation entering that flip site; if
 // stopReLU >= 0 it returns the map of the input of that ReLU site;
 // otherwise it folds the whole network and reports completeness.
+//
+// The walk starts from the identity map without materializing it: the
+// first Dense layer folds it directly (see foldIdentity), and only a Flip,
+// ReLU or stop reached before any Dense builds the P×P identity. From its
+// first allocation cur is owned by the walk, so Flip signs and ReLU masks
+// are applied to it in place: the elementwise arithmetic is the same as on
+// a copy.
 func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMap, bool, error) {
 	p := net.InSize()
-	cur := AffineMap{A: tensor.Identity(p), B: make([]float64, p)}
+	var cur AffineMap // A == nil: still the unmaterialized identity
+	owned := func() AffineMap {
+		if cur.A == nil {
+			cur = AffineMap{A: tensor.Identity(p), B: make([]float64, p)}
+		}
+		return cur
+	}
 	for _, l := range net.Layers {
 		switch v := l.(type) {
 		case *nn.Dense:
-			cur = AffineMap{
-				A: tensor.MatMul(v.W.W, cur.A),
-				B: tensor.VecAdd(tensor.MatVec(v.W.W, cur.B), v.B.W.Row(0)),
+			if cur.A == nil {
+				cur = foldIdentity(v)
+				continue
 			}
+			b := tensor.MatVec(v.W.W, cur.B)
+			for i, bi := range v.B.W.Row(0) {
+				b[i] += bi
+			}
+			cur = AffineMap{A: tensor.MatMul(v.W.W, cur.A), B: b}
 		case *nn.Flip:
 			if v.SiteID == stopSite {
-				return cur, false, nil
+				return owned(), false, nil
 			}
-			a := cur.A.Clone()
-			b := tensor.VecClone(cur.B)
+			owned()
 			for i, s := range v.Signs {
 				//lint:ignore floatcmp Signs hold the exact sentinel values the locker wrote
 				if s != 1 {
-					row := a.Row(i)
+					row := cur.A.Row(i)
 					for c := range row {
 						row[c] *= s
 					}
-					b[i] *= s
+					cur.B[i] *= s
 				}
 				if v.Offsets != nil {
-					b[i] += v.Offsets[i]
+					cur.B[i] += v.Offsets[i]
 				}
 			}
-			cur = AffineMap{A: a, B: b}
 		case *nn.ReLU:
 			if v.SiteID == stopReLU {
-				return cur, false, nil
+				return owned(), false, nil
 			}
 			pat := tr.Patterns[v.SiteID]
 			if pat == nil {
 				return AffineMap{}, false, fmt.Errorf("geometry: trace has no pattern for ReLU site %d", v.SiteID)
 			}
-			a := cur.A.Clone().MaskRows(pat)
-			b := tensor.VecClone(cur.B)
+			owned().A.MaskRows(pat)
 			for i, on := range pat {
 				if !on {
-					b[i] = 0
+					cur.B[i] = 0
 				}
 			}
-			cur = AffineMap{A: a, B: b}
 		case *nn.Flatten:
 			// identity
 		default:
@@ -125,7 +139,26 @@ func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMa
 	if stopSite >= 0 || stopReLU >= 0 {
 		return AffineMap{}, false, fmt.Errorf("geometry: stop site (flip %d / relu %d) not found", stopSite, stopReLU)
 	}
-	return cur, true, nil
+	return owned(), true, nil
+}
+
+// foldIdentity is the Dense step applied to the identity map, without the
+// P×P identity or its product. It reproduces MatMul(W, I) and
+// MatVec(W, 0)+b bit for bit: both kernels accumulate from +0 and the
+// identity contributes exactly one nonzero term per entry, so every entry
+// is 0+w (resp. 0+b) — w itself, except that a −0 becomes +0.
+func foldIdentity(d *nn.Dense) AffineMap {
+	w := d.W.W
+	a := tensor.New(w.Rows, w.Cols)
+	for i, x := range w.Data {
+		a.Data[i] = 0 + x
+	}
+	bias := d.B.W.Row(0)
+	b := make([]float64, len(bias))
+	for i, x := range bias {
+		b[i] = 0 + x
+	}
+	return AffineMap{A: a, B: b}
 }
 
 // PatternsEqual reports whether two activation-pattern stacks agree, which

@@ -35,110 +35,187 @@ var AllProcedures = []Procedure{
 // for concurrent use: every reader goes through one lock acquisition
 // (Snapshot), so shares and totals stay mutually consistent while other
 // goroutines — including a tracer rolling up spans — keep accumulating.
+//
+// Every attack Result retains its Breakdown, and a long run (a benchmark
+// loop, a daemon's job table) retains many, so the four per-procedure
+// quantities live in fixed per-procedure tallies rather than maps; the
+// map-typed views (Snapshot, *ByProc) are built on demand.
 type Breakdown struct {
-	mu      sync.Mutex
-	times   map[Procedure]time.Duration
-	queries map[Procedure]int64
-	rounds  map[Procedure]int64
-	sim     map[Procedure]time.Duration
+	mu    sync.Mutex
+	std   [4]tally     // the Figure 3 procedures, indexed like AllProcedures
+	extra []namedTally // nonstandard procedures, in first-seen order
 }
 
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{
-		times:   make(map[Procedure]time.Duration),
-		queries: make(map[Procedure]int64),
-		rounds:  make(map[Procedure]int64),
-		sim:     make(map[Procedure]time.Duration),
+// quantity indexes the four per-procedure quantities of a tally.
+type quantity uint8
+
+const (
+	qTime    quantity = iota // wall nanoseconds
+	qQueries                 // oracle queries
+	qRounds                  // oracle round-trips
+	qSim                     // simulated channel nanoseconds
+)
+
+// tally is one procedure's four quantities. has records which quantities
+// were ever accumulated (even by 0), so the map views keep the membership
+// a map-backed ledger had: a procedure is present in a view exactly when
+// that quantity was accumulated under it.
+type tally struct {
+	v   [4]int64 // by quantity
+	has uint8    // bit q: quantity q was accumulated
+}
+
+type namedTally struct {
+	proc Procedure
+	tally
+}
+
+// stdIndex is proc's position in AllProcedures, or -1.
+func stdIndex(proc Procedure) int {
+	switch proc {
+	case ProcKeyBitInference:
+		return 0
+	case ProcLearningAttack:
+		return 1
+	case ProcKeyVectorValidation:
+		return 2
+	case ProcErrorCorrection:
+		return 3
+	}
+	return -1
+}
+
+// find returns proc's tally, or nil if it has none. Callers hold b.mu.
+func (b *Breakdown) find(proc Procedure) *tally {
+	if i := stdIndex(proc); i >= 0 {
+		return &b.std[i]
+	}
+	for k := range b.extra {
+		if b.extra[k].proc == proc {
+			return &b.extra[k].tally
+		}
+	}
+	return nil
+}
+
+func (b *Breakdown) add(proc Procedure, q quantity, n int64) {
+	b.mu.Lock()
+	t := b.find(proc)
+	if t == nil {
+		b.extra = append(b.extra, namedTally{proc: proc})
+		t = &b.extra[len(b.extra)-1].tally
+	}
+	t.v[q] += n
+	t.has |= 1 << q
+	b.mu.Unlock()
+}
+
+func (b *Breakdown) get(proc Procedure, q quantity) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if t := b.find(proc); t != nil {
+		return t.v[q]
+	}
+	return 0
+}
+
+// each calls f for every procedure that accumulated q: the Figure 3
+// procedures in order, then the others in first-seen order. Callers hold
+// b.mu.
+func (b *Breakdown) each(q quantity, f func(Procedure, int64)) {
+	for i := range b.std {
+		if b.std[i].has&(1<<q) != 0 {
+			f(AllProcedures[i], b.std[i].v[q])
+		}
+	}
+	for _, e := range b.extra {
+		if e.has&(1<<q) != 0 {
+			f(e.proc, e.v[q])
+		}
 	}
 }
 
+// size is the number of procedures that accumulated q. Callers hold b.mu.
+func (b *Breakdown) size(q quantity) int {
+	n := 0
+	b.each(q, func(Procedure, int64) { n++ })
+	return n
+}
+
+// counts copies quantity q into a map.
+func (b *Breakdown) counts(q quantity) map[Procedure]int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[Procedure]int64, b.size(q))
+	b.each(q, func(p Procedure, n int64) { out[p] = n })
+	return out
+}
+
+// NewBreakdown returns an empty breakdown.
+func NewBreakdown() *Breakdown { return new(Breakdown) }
+
 // Add accumulates d under proc.
 func (b *Breakdown) Add(proc Procedure, d time.Duration) {
-	b.mu.Lock()
-	b.times[proc] += d
-	b.mu.Unlock()
+	b.add(proc, qTime, int64(d))
 }
 
 // AddQueries accumulates n oracle queries under proc, the query-complexity
 // companion to Add.
 func (b *Breakdown) AddQueries(proc Procedure, n int64) {
-	b.mu.Lock()
-	b.queries[proc] += n
-	b.mu.Unlock()
+	b.add(proc, qQueries, n)
 }
 
 // AddRounds accumulates n oracle round-trips under proc. Rounds count
 // Query/QueryBatch calls rather than rows, so they are the latency-side
 // companion to AddQueries' per-inference accounting.
 func (b *Breakdown) AddRounds(proc Procedure, n int64) {
-	b.mu.Lock()
-	b.rounds[proc] += n
-	b.mu.Unlock()
+	b.add(proc, qRounds, n)
 }
 
 // AddSim accumulates d of simulated channel time under proc. Runs against a
 // farm-simulated transport (internal/farm) attribute the virtual clock's
 // advance to procedures the same way Add attributes real wall time; runs
-// against a direct oracle never call this and the sim maps stay empty.
+// against a direct oracle never call this and the sim view stays empty.
 func (b *Breakdown) AddSim(proc Procedure, d time.Duration) {
-	b.mu.Lock()
-	b.sim[proc] += d
-	b.mu.Unlock()
+	b.add(proc, qSim, int64(d))
 }
 
 // Sim returns the simulated channel time accumulated under proc.
 func (b *Breakdown) Sim(proc Procedure) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sim[proc]
+	return time.Duration(b.get(proc, qSim))
 }
 
-// SimByProc returns a copy of the per-procedure simulated channel times.
+// SimByProc returns a copy of the per-procedure simulated channel times,
+// nil when no simulated time accrued (a direct oracle).
 func (b *Breakdown) SimByProc() map[Procedure]time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[Procedure]time.Duration, len(b.sim))
-	for p, d := range b.sim {
-		out[p] = d
+	if b.size(qSim) == 0 {
+		return nil
 	}
+	out := make(map[Procedure]time.Duration, b.size(qSim))
+	b.each(qSim, func(p Procedure, n int64) { out[p] = time.Duration(n) })
 	return out
 }
 
 // Queries returns the oracle queries accumulated under proc.
 func (b *Breakdown) Queries(proc Procedure) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queries[proc]
+	return b.get(proc, qQueries)
 }
 
 // QueriesByProc returns a copy of the per-procedure query counts.
 func (b *Breakdown) QueriesByProc() map[Procedure]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[Procedure]int64, len(b.queries))
-	for p, n := range b.queries {
-		out[p] = n
-	}
-	return out
+	return b.counts(qQueries)
 }
 
 // Rounds returns the oracle round-trips accumulated under proc.
 func (b *Breakdown) Rounds(proc Procedure) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rounds[proc]
+	return b.get(proc, qRounds)
 }
 
 // RoundsByProc returns a copy of the per-procedure round-trip counts.
 func (b *Breakdown) RoundsByProc() map[Procedure]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[Procedure]int64, len(b.rounds))
-	for p, n := range b.rounds {
-		out[p] = n
-	}
-	return out
+	return b.counts(qRounds)
 }
 
 // Track runs f and accumulates its wall time under proc.
@@ -150,9 +227,7 @@ func (b *Breakdown) Track(proc Procedure, f func()) {
 
 // Get returns the accumulated time of proc.
 func (b *Breakdown) Get(proc Procedure) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.times[proc]
+	return time.Duration(b.get(proc, qTime))
 }
 
 // Total returns the sum over all procedures.
@@ -160,9 +235,7 @@ func (b *Breakdown) Total() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var t time.Duration
-	for _, d := range b.times {
-		t += d
-	}
+	b.each(qTime, func(_ Procedure, n int64) { t += time.Duration(n) })
 	return t
 }
 
@@ -189,27 +262,27 @@ func (b *Breakdown) Snapshot() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := Snapshot{
-		Times:   make(map[Procedure]time.Duration, len(b.times)),
-		Queries: make(map[Procedure]int64, len(b.queries)),
-		Rounds:  make(map[Procedure]int64, len(b.rounds)),
-		Sim:     make(map[Procedure]time.Duration, len(b.sim)),
+		Times:   make(map[Procedure]time.Duration, b.size(qTime)),
+		Queries: make(map[Procedure]int64, b.size(qQueries)),
+		Rounds:  make(map[Procedure]int64, b.size(qRounds)),
+		Sim:     make(map[Procedure]time.Duration, b.size(qSim)),
 	}
-	for p, d := range b.times {
-		s.Times[p] = d
-		s.Total += d
-	}
-	for p, n := range b.queries {
+	b.each(qTime, func(p Procedure, n int64) {
+		s.Times[p] = time.Duration(n)
+		s.Total += time.Duration(n)
+	})
+	b.each(qQueries, func(p Procedure, n int64) {
 		s.Queries[p] = n
 		s.TotalQ += n
-	}
-	for p, n := range b.rounds {
+	})
+	b.each(qRounds, func(p Procedure, n int64) {
 		s.Rounds[p] = n
 		s.TotalR += n
-	}
-	for p, d := range b.sim {
-		s.Sim[p] = d
-		s.TotalS += d
-	}
+	})
+	b.each(qSim, func(p Procedure, n int64) {
+		s.Sim[p] = time.Duration(n)
+		s.TotalS += time.Duration(n)
+	})
 	return s
 }
 
@@ -286,14 +359,7 @@ func (b *Breakdown) Percentages() map[Procedure]float64 {
 	return out
 }
 
-func isStandard(p Procedure) bool {
-	for _, q := range AllProcedures {
-		if p == q {
-			return true
-		}
-	}
-	return false
-}
+func isStandard(p Procedure) bool { return stdIndex(p) >= 0 }
 
 // String renders a one-line summary: the Figure 3 procedures in
 // presentation order, then any nonstandard procedures sorted by name, each

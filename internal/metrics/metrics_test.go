@@ -215,3 +215,41 @@ func TestPercentConsistentUnderConcurrentAdds(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// TestBreakdownMembership pins the map views' membership: a procedure
+// appears in a quantity's view exactly when that quantity was accumulated
+// under it (a zero-valued add counts), standard and nonstandard procedures
+// alike, and the sim view is nil when no simulated time accrued.
+func TestBreakdownMembership(t *testing.T) {
+	b := NewBreakdown()
+	b.AddQueries(ProcKeyBitInference, 0)
+	b.AddRounds(ProcKeyVectorValidation, 3)
+	b.Add(Procedure("extra"), time.Millisecond)
+	b.AddQueries(Procedure("extra"), 5)
+	if sim := b.SimByProc(); sim != nil {
+		t.Fatalf("SimByProc = %v, want nil with no simulated time", sim)
+	}
+	s := b.Snapshot()
+	if len(s.Times) != 1 || s.Times["extra"] != time.Millisecond {
+		t.Fatalf("Times = %v", s.Times)
+	}
+	if q, ok := s.Queries[ProcKeyBitInference]; !ok || q != 0 || len(s.Queries) != 2 || s.Queries["extra"] != 5 {
+		t.Fatalf("Queries = %v", s.Queries)
+	}
+	if len(s.Rounds) != 1 || s.Rounds[ProcKeyVectorValidation] != 3 {
+		t.Fatalf("Rounds = %v", s.Rounds)
+	}
+	if len(s.Sim) != 0 || s.TotalS != 0 {
+		t.Fatalf("Sim = %v", s.Sim)
+	}
+	if q := b.QueriesByProc(); len(q) != 2 {
+		t.Fatalf("QueriesByProc = %v", q)
+	}
+	if r := NewBreakdown().RoundsByProc(); r == nil {
+		t.Fatal("RoundsByProc of an empty breakdown is nil, want an empty map")
+	}
+	b.AddSim(ProcErrorCorrection, 2*time.Second)
+	if sim := b.SimByProc(); len(sim) != 1 || sim[ProcErrorCorrection] != 2*time.Second {
+		t.Fatalf("SimByProc = %v", sim)
+	}
+}

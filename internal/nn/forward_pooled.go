@@ -1,6 +1,10 @@
 package nn
 
-import "dnnlock/internal/tensor"
+import (
+	"sync"
+
+	"dnnlock/internal/tensor"
+)
 
 // vecForward is implemented by layers whose single-example forward can
 // write into a caller-supplied buffer. Implementations must overwrite
@@ -83,19 +87,7 @@ func (m *MeanTokens) forwardVecInto(out, x []float64) {
 	}
 }
 
-func (r *Residual) forwardVecInto(out, x []float64) {
-	b, bp := forwardVecChain(r.Body, x)
-	s, sp := forwardVecChain(r.Shortcut, x)
-	for i := range out {
-		out[i] = b[i] + s[i]
-	}
-	if bp {
-		tensor.PutVec(b)
-	}
-	if sp {
-		tensor.PutVec(s)
-	}
-}
+func (r *Residual) forwardVecInto(out, x []float64) { r.forwardVecIntoTrace(out, x, nil) }
 
 // traceVecForward is the trace-recording counterpart of vecForward,
 // implemented by the layers whose Forward consults the trace (Flip, ReLU,
@@ -125,159 +117,177 @@ func (f *Flip) forwardVecIntoTrace(out, x []float64, tr *Trace) {
 	tr.Post[f.SiteID] = tensor.VecClone(out)
 }
 
+// forwardVecIntoTrace runs both paths, each over its own pooled scratch
+// (the body's result must survive the shortcut's walk), and sums them. A
+// nil tr is the plain vecForward path.
 func (r *Residual) forwardVecIntoTrace(out, x []float64, tr *Trace) {
-	b, bp := forwardVecChainTr(r.Body, x, tr)
-	s, sp := forwardVecChainTr(r.Shortcut, x, tr)
+	bs, ss := getChainScratch(), getChainScratch()
+	b := forwardVecChainTr(r.Body, x, tr, bs)
+	s := forwardVecChainTr(r.Shortcut, x, tr, ss)
 	for i := range out {
 		out[i] = b[i] + s[i]
 	}
-	if bp {
-		tensor.PutVec(b)
-	}
-	if sp {
-		tensor.PutVec(s)
-	}
+	putChainScratch(bs)
+	putChainScratch(ss)
 }
 
-// forwardVecChain runs layers over x, staging intermediates in pooled
-// vectors wherever a layer supports it. The result is either a pooled
-// buffer (pooled == true, caller releases with PutVec), a fresh heap
-// slice from a fallback layer, or x itself when every layer was an
+// chainScratch is the two-buffer ping-pong a chain walk stages its
+// intermediates in: each layer reads the buffer the previous one wrote and
+// writes the other. A walk takes one scratch from chainScratches for its
+// whole length, so a probe or a forward pass costs one pool round trip
+// instead of a GetVec/PutVec pair per layer, and a warm pool makes the
+// walk allocation-free. The buffers grow to the widest layer they serve
+// and keep that capacity across walks.
+type chainScratch struct {
+	buf  [2][]float64
+	next int // index of the buffer the next layer writes; never the current input
+}
+
+var chainScratches = sync.Pool{New: func() any { return new(chainScratch) }}
+
+func getChainScratch() *chainScratch {
+	s := chainScratches.Get().(*chainScratch)
+	s.next = 0
+	return s
+}
+
+func putChainScratch(s *chainScratch) { chainScratches.Put(s) }
+
+// out returns the length-n buffer the next layer writes into and flips the
+// ping-pong. The buffer never aliases the walk's current input: that is
+// either the other buffer, the caller's x, or a fallback layer's heap
+// result.
+func (s *chainScratch) out(n int) []float64 {
+	k := s.next
+	if cap(s.buf[k]) < n {
+		s.buf[k] = make([]float64, n)
+	}
+	s.next ^= 1
+	return s.buf[k][:n]
+}
+
+// forwardVecChain runs layers over x, staging intermediates in s. The
+// result lives in s (valid until s is returned to the pool), is a fresh
+// heap slice from a fallback layer, or is x itself when every layer was an
 // identity (Flatten).
-func forwardVecChain(layers []Layer, x []float64) (res []float64, pooled bool) {
-	return forwardVecChainTr(layers, x, nil)
+func forwardVecChain(layers []Layer, x []float64, s *chainScratch) []float64 {
+	return forwardVecChainTr(layers, x, nil, s)
 }
 
 // forwardVecChainTr is forwardVecChain with optional trace recording:
 // trace-consulting layers dispatch through traceVecForward when tr is
 // non-nil, trace-blind layers always take their plain Into path, and
 // anything else falls back to the allocating Forward.
-func forwardVecChainTr(layers []Layer, x []float64, tr *Trace) (res []float64, pooled bool) {
+func forwardVecChainTr(layers []Layer, x []float64, tr *Trace, s *chainScratch) []float64 {
 	cur := x
 	for _, l := range layers {
-		if next, np, ok := forwardVecLayer(l, cur, tr); ok {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			cur, pooled = next, np
-			continue
-		}
-		next := l.Forward(cur, tr)
-		if sameVec(next, cur) {
-			continue
-		}
-		if pooled {
-			tensor.PutVec(cur)
-		}
-		cur, pooled = next, false
+		cur = forwardVecStep(l, cur, tr, s)
 	}
-	return cur, pooled
+	return cur
 }
 
-// forwardVecLayer runs one layer through its pooled Into path if it has
-// one appropriate for the trace mode; ok is false when the caller must
-// fall back to Forward.
-func forwardVecLayer(l Layer, x []float64, tr *Trace) (out []float64, pooled, ok bool) {
+// forwardVecStep runs one layer through its Into path appropriate for the
+// trace mode, writing into s; a layer without one falls back to Forward
+// (whose result, or its unchanged input for an identity layer, is
+// returned as is).
+func forwardVecStep(l Layer, x []float64, tr *Trace, s *chainScratch) []float64 {
 	if tr != nil {
 		if tv, hit := l.(traceVecForward); hit {
-			out = tensor.GetVec(l.OutSize())
+			out := s.out(l.OutSize())
 			tv.forwardVecIntoTrace(out, x, tr)
-			return out, true, true
+			return out
 		}
 	}
 	// Reaching here under tracing means the layer is trace-blind (every
 	// trace-consulting layer implements traceVecForward), so its plain
 	// Into path is exact.
 	if fi, hit := l.(vecForward); hit {
-		out = tensor.GetVec(l.OutSize())
+		out := s.out(l.OutSize())
 		fi.forwardVecInto(out, x)
-		return out, true, true
+		return out
 	}
-	return nil, false, false
-}
-
-// sameVec reports whether two slices share a backing array start — the
-// identity-layer case (Flatten returns its input untouched).
-func sameVec(a, b []float64) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+	return l.Forward(x, tr)
 }
 
 // PostAt returns the post-flip value of element idx at flip site `site` —
 // the scalar the §3.5 critical-point bisection reads. It runs the same
-// pooled kernels as the trace path (values are bit-identical) but records
+// kernels as the trace path (values are bit-identical) but records
 // nothing and stops as soon as the flip has run, so a probe costs the
-// prefix forward plus one flip row instead of a trace allocation per call.
+// prefix forward plus one flip row and, with a warm scratch pool, no
+// allocation.
 func (n *Network) PostAt(x []float64, site, idx int) float64 {
-	if v, ok := probeChain(n.Layers, x, site, -1, idx); ok {
-		return v
+	s := getChainScratch()
+	defer putChainScratch(s)
+	if in, f, ok := walkToSite(n.Layers, x, site, -1, s); ok {
+		out := s.out(f.N)
+		f.forwardRowInto(out, in)
+		return out[idx]
 	}
 	// Site not visible to the walker (shouldn't happen for registered
 	// sites); the recording path is always correct.
 	return n.ForwardTraceTo(x, site).Post[site][idx]
 }
 
+// PreInto copies the unsigned pre-activation entering flip site `site`
+// (the trace's Pre[site]) into dst, which must have the site's width.
+// Same contract as PostAt: bit-identical to the trace, no allocation.
+func (n *Network) PreInto(dst, x []float64, site int) {
+	s := getChainScratch()
+	defer putChainScratch(s)
+	if in, _, ok := walkToSite(n.Layers, x, site, -1, s); ok {
+		copy(dst, in)
+		return
+	}
+	copy(dst, n.ForwardTraceTo(x, site).Pre[site])
+}
+
 // ReluInAt returns the input of element idx at ReLU site `reluSite`, the
 // scalar bisected by the validation's hyperplane probes. Same contract as
 // PostAt.
 func (n *Network) ReluInAt(x []float64, reluSite, idx int) float64 {
-	if v, ok := probeChain(n.Layers, x, -1, reluSite, idx); ok {
-		return v
+	s := getChainScratch()
+	defer putChainScratch(s)
+	if in, _, ok := walkToSite(n.Layers, x, -1, reluSite, s); ok {
+		return in[idx]
 	}
 	return n.ForwardTraceToReLU(x, reluSite).ReluIn[reluSite][idx]
 }
 
-// probeChain walks the layer chain over pooled buffers until the probed
-// site is reached: the output of flip site flipSite, or the input of ReLU
-// site reluSite (-1 disables either). Residuals are entered only when they
-// actually contain the site, so no path is ever evaluated twice.
-func probeChain(layers []Layer, x []float64, flipSite, reluSite, idx int) (float64, bool) {
-	cur, pooled := x, false
-	release := func() {
-		if pooled {
-			tensor.PutVec(cur)
-		}
-	}
-	for _, l := range layers {
-		switch v := l.(type) {
+// walkToSite runs the layer chain over s until the probed site is reached
+// and returns the vector entering it: the input of flip site flipSite
+// (with that Flip) or of ReLU site reluSite (-1 disables either). The
+// vector lives in s, x, or a fallback layer's result, and is valid until s
+// is returned to the pool. A residual holding the site is entered by
+// switching the walk to the path that holds it, so no path is ever
+// evaluated twice and the residual's other path not at all.
+func walkToSite(layers []Layer, x []float64, flipSite, reluSite int, s *chainScratch) ([]float64, *Flip, bool) {
+	cur := x
+	for i := 0; i < len(layers); i++ {
+		switch v := layers[i].(type) {
 		case *Flip:
 			if v.SiteID == flipSite {
-				out := tensor.GetVec(v.N)
-				v.forwardRowInto(out, cur)
-				val := out[idx]
-				tensor.PutVec(out)
-				release()
-				return val, true
+				return cur, v, true
 			}
 		case *ReLU:
 			if v.SiteID == reluSite {
-				val := cur[idx]
-				release()
-				return val, true
+				return cur, nil, true
 			}
 		case *Residual:
-			if containsProbeSite(v.subLayers(), flipSite, reluSite) {
-				val, ok := probeChain(v.Body, cur, flipSite, reluSite, idx)
-				if !ok {
-					val, ok = probeChain(v.Shortcut, cur, flipSite, reluSite, idx)
-				}
-				release()
-				return val, ok
+			var path []Layer
+			switch {
+			case containsProbeSite(v.Body, flipSite, reluSite):
+				path = v.Body
+			case containsProbeSite(v.Shortcut, flipSite, reluSite):
+				path = v.Shortcut
+			}
+			if path != nil {
+				layers, i = path, -1
+				continue
 			}
 		}
-		if next, np, ok := forwardVecLayer(l, cur, nil); ok {
-			release()
-			cur, pooled = next, np
-			continue
-		}
-		next := l.Forward(cur, nil)
-		if sameVec(next, cur) {
-			continue
-		}
-		release()
-		cur, pooled = next, false
+		cur = forwardVecStep(layers[i], cur, nil, s)
 	}
-	release()
-	return 0, false
+	return nil, nil, false
 }
 
 // containsProbeSite reports whether the layer set (recursively) holds the
@@ -293,8 +303,8 @@ func containsProbeSite(layers []Layer, flipSite, reluSite int) bool {
 			if v.SiteID == reluSite {
 				return true
 			}
-		case container:
-			if containsProbeSite(v.subLayers(), flipSite, reluSite) {
+		case *Residual:
+			if containsProbeSite(v.Body, flipSite, reluSite) || containsProbeSite(v.Shortcut, flipSite, reluSite) {
 				return true
 			}
 		}

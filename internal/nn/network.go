@@ -69,16 +69,20 @@ func (n *Network) NumFlipSites() int { return len(n.flips) }
 
 // Forward computes the logits for one example. Safe for concurrent use as
 // long as no goroutine mutates parameters or flip signs. Intermediate
-// activations are staged in pooled workspaces; the returned logits are a
+// activations are staged in a pooled scratch; the returned logits are a
 // fresh slice the caller owns.
 func (n *Network) Forward(x []float64) []float64 {
-	y, pooled := forwardVecChain(n.Layers, x)
-	if !pooled {
-		return y
-	}
-	out := append([]float64(nil), y...)
-	tensor.PutVec(y)
-	return out
+	y := make([]float64, n.OutSize())
+	n.ForwardInto(y, x)
+	return y
+}
+
+// ForwardInto is Forward writing the logits into dst (length OutSize),
+// which with a warm scratch pool allocates nothing.
+func (n *Network) ForwardInto(dst, x []float64) {
+	s := getChainScratch()
+	copy(dst, forwardVecChain(n.Layers, x, s))
+	putChainScratch(s)
 }
 
 func (n *Network) newTrace() *Trace {
@@ -90,36 +94,22 @@ func (n *Network) newTrace() *Trace {
 	}
 }
 
-// forwardTrace drives the trace-recording pass over pooled intermediates.
-// The trace only ever holds clones (and, at the end, a fresh copy of the
-// logits), so recycling the chain buffers is invisible to callers. A
-// non-nil stop predicate is checked after every top-level layer; on stop
-// tr.Out stays nil, exactly like the early return it replaces.
+// forwardTrace drives the trace-recording pass over a pooled scratch. The
+// trace only ever holds clones (and, at the end, a fresh copy of the
+// logits), so recycling the scratch is invisible to callers. A non-nil
+// stop predicate is checked after every top-level layer; on stop tr.Out
+// stays nil, exactly like the early return it replaces.
 func (n *Network) forwardTrace(x []float64, tr *Trace, stop func() bool) {
-	cur, pooled := x, false
+	s := getChainScratch()
+	defer putChainScratch(s)
+	cur := x
 	for _, l := range n.Layers {
-		if next, np, ok := forwardVecLayer(l, cur, tr); ok {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			cur, pooled = next, np
-		} else if next := l.Forward(cur, tr); !sameVec(next, cur) {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			cur, pooled = next, false
-		}
+		cur = forwardVecStep(l, cur, tr, s)
 		if stop != nil && stop() {
-			if pooled {
-				tensor.PutVec(cur)
-			}
 			return
 		}
 	}
 	tr.Out = append([]float64(nil), cur...)
-	if pooled {
-		tensor.PutVec(cur)
-	}
 }
 
 // ForwardTrace computes the logits while recording flip-site pre/post

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Workspace recycling for per-step scratch storage. The training and attack
 // hot loops need short-lived matrices (attention intermediates, convolution
@@ -47,14 +50,33 @@ func PutMatrix(ms ...*Matrix) {
 	}
 }
 
-var vecPool sync.Pool
+// vecPools holds workspace slices by power-of-two size class: class k
+// holds slices of capacity at least 1<<k, so a pooled slice is never too
+// small for a request of its class and is never dropped for that reason
+// (a single pool would hand a large request a small slice and either
+// leak it to the GC or, put back, shadow every later request). Slices sit
+// behind *[]float64 headers, since a bare slice stored in an interface
+// boxes a fresh header on every Put; vecHeaders recycles the emptied
+// headers, so a steady-state Get/Put pair allocates nothing.
+var (
+	vecPools   [64]sync.Pool
+	vecHeaders sync.Pool
+)
 
 // GetVec returns a length-n workspace slice with arbitrary contents.
 func GetVec(n int) []float64 {
-	if p, _ := vecPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+	if n <= 0 {
+		return make([]float64, n)
 	}
-	return make([]float64, n)
+	k := bits.Len(uint(n - 1)) // smallest class with 1<<k >= n
+	p, _ := vecPools[k].Get().(*[]float64)
+	if p == nil {
+		return make([]float64, n, 1<<k)
+	}
+	v := (*p)[:n]
+	*p = nil
+	vecHeaders.Put(p)
+	return v
 }
 
 // PutVec returns a workspace slice to the pool.
@@ -62,5 +84,10 @@ func PutVec(v []float64) {
 	if cap(v) == 0 {
 		return
 	}
-	vecPool.Put(&v)
+	p, _ := vecHeaders.Get().(*[]float64)
+	if p == nil {
+		p = new([]float64)
+	}
+	*p = v
+	vecPools[bits.Len(uint(cap(v)))-1].Put(p) // largest class cap(v) covers
 }

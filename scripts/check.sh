@@ -45,6 +45,18 @@ echo "==> robustness smoke (clean-path identity + fault degradation)"
 go test -race -run 'TestRobustness|TestRunBudget|TestRunRetries|TestRunDeclared|TestRunHeavy|TestRunCleanPath' \
 	./internal/core ./internal/harness
 
+# Probe-path smoke (DESIGN.md §18): the attack's RNG streams must stay
+# math/rand's draw for draw at every worker count, and the white-box probe
+# path and workspace pool must stay allocation-free. Allocation counts mean
+# nothing under the race detector (its sync.Pool drops Puts at random, so
+# the allocation tests skip themselves there), hence a plain pass here at
+# several core counts.
+echo "==> probe-path smoke (RNG stream identity + allocation-free probes)"
+go test -count=1 -cpu 1,2,4 -run 'TestLazySource|TestParallelForStreams|TestCountedSourceSkip' ./internal/core
+go test -count=1 -cpu 1,2,4 -run 'TestProbePathAllocFree' ./internal/nn
+go test -count=1 -cpu 1,2,4 -run 'TestVecPoolSteadyStateAllocFree|TestGetVecKeepsSmallBuffers' ./internal/tensor
+go test -count=1 -cpu 1,2,4 -run 'TestWalkAffineMatchesReferenceBits' ./internal/geometry
+
 # Trace smoke (DESIGN.md §12): a Table-1 cell exported as a JSONL trace
 # must be a faithful projection of the run — `trace -check` recomputes the
 # per-procedure rollup from the raw spans, requires it to match the
